@@ -65,23 +65,7 @@ func (q *QueryStats) Observe(delta oracle.Stats) {
 		q.MaxTotal = t
 	}
 	q.SumTotal += t
-	q.ByKind.Neighbor += delta.Neighbor
-	q.ByKind.Degree += delta.Degree
-	q.ByKind.Adjacency += delta.Adjacency
-	q.ByKind.Batches += delta.Batches
-	q.ByKind.RoundTrips += delta.RoundTrips
-	q.ByKind.Failovers += delta.Failovers
-	q.ByKind.Hedges += delta.Hedges
-	q.ByKind.AttestFailures += delta.AttestFailures
-	q.ByKind.ProofBytes += delta.ProofBytes
-	q.ByKind.RemainderTrips += delta.RemainderTrips
-	q.ByKind.PageTouches += delta.PageTouches
-	q.ByKind.LocalHits += delta.LocalHits
-	// FetchWidth is a gauge, not a counter: keep the latest nonzero
-	// snapshot rather than summing widths across queries.
-	if delta.FetchWidth > 0 {
-		q.ByKind.FetchWidth = delta.FetchWidth
-	}
+	q.ByKind = q.ByKind.Add(delta)
 }
 
 // Merge folds another aggregate into q (sums are added, max is the true
@@ -92,21 +76,7 @@ func (q *QueryStats) Merge(s QueryStats) {
 	if s.MaxTotal > q.MaxTotal {
 		q.MaxTotal = s.MaxTotal
 	}
-	q.ByKind.Neighbor += s.ByKind.Neighbor
-	q.ByKind.Degree += s.ByKind.Degree
-	q.ByKind.Adjacency += s.ByKind.Adjacency
-	q.ByKind.Batches += s.ByKind.Batches
-	q.ByKind.RoundTrips += s.ByKind.RoundTrips
-	q.ByKind.Failovers += s.ByKind.Failovers
-	q.ByKind.Hedges += s.ByKind.Hedges
-	q.ByKind.AttestFailures += s.ByKind.AttestFailures
-	q.ByKind.ProofBytes += s.ByKind.ProofBytes
-	q.ByKind.RemainderTrips += s.ByKind.RemainderTrips
-	q.ByKind.PageTouches += s.ByKind.PageTouches
-	q.ByKind.LocalHits += s.ByKind.LocalHits
-	if s.ByKind.FetchWidth > 0 {
-		q.ByKind.FetchWidth = s.ByKind.FetchWidth
-	}
+	q.ByKind = q.ByKind.Add(s.ByKind)
 }
 
 // Mean returns the mean probes per query.

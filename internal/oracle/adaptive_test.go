@@ -2,8 +2,8 @@ package oracle
 
 // Tests for the learned prefetch width: the degree-bound clamp
 // regression, the estimator's bounds and convergence properties, the
-// rowfull fast path through source.RowFetcher, and the capability
-// forwarding that surfaces width and remainder trips in Stats.
+// rowfull fast path through source.RowFetcher, and the Unwrap walk that
+// surfaces width and remainder trips in Stats.
 
 import (
 	"fmt"
@@ -263,38 +263,52 @@ func TestPrefetchUsesRowFetcher(t *testing.T) {
 	}
 }
 
-// TestPrefetchReporterForwarding walks the wrapper chain: width and
-// remainder trips must stay visible through Caching, Limit and Counter.
-func TestPrefetchReporterForwarding(t *testing.T) {
+// TestPrefetchFiguresThroughWrappers: width and remainder trips, which
+// only the prefetching tier counts, must reach Counter.Stats through every
+// wrapper stacked above it (Caching, Limit, LimitTrips, Recorder and a
+// nested Counter), with the tier's own figures, and Reset must rebaseline
+// the remainder window.
+func TestPrefetchFiguresThroughWrappers(t *testing.T) {
 	g := wideGraph(101)
-	p := NewPrefetch(&noBoundSource{b: newBatchSource(g)}, WithFetchWidth(DefaultFetchWidth))
-	c := NewCounter(NewCaching(p))
-	for v := 0; v < 10; v++ {
-		c.Neighbors(v)
-	}
-	st := c.Stats()
-	if st.RemainderTrips == 0 {
-		t.Fatal("wide rows behind a static width reported zero remainder trips through the chain")
-	}
-	if st.FetchWidth != DefaultFetchWidth {
-		t.Fatalf("Stats.FetchWidth = %d through the chain, want %d", st.FetchWidth, DefaultFetchWidth)
-	}
-	// Reset rebaselines the counter's remainder window.
-	c.Reset()
-	if st := c.Stats(); st.RemainderTrips != 0 {
-		t.Fatalf("after Reset the counter still reports %d remainder trips", st.RemainderTrips)
-	}
-	// The budget wrappers forward the capability too.
-	l := NewLimit(p, 1<<20)
-	if l.FetchWidth() != DefaultFetchWidth || l.RemainderTrips() == 0 {
-		t.Fatal("LimitOracle does not forward the prefetch reporter")
-	}
-	lt := NewLimitTrips(p, 1<<20)
-	pr, ok := lt.(PrefetchReporter)
-	if !ok {
-		t.Fatal("trip-limited chain lost the PrefetchReporter capability")
-	}
-	if pr.FetchWidth() != DefaultFetchWidth {
-		t.Fatalf("trip-limited FetchWidth = %d, want %d", pr.FetchWidth(), DefaultFetchWidth)
+	for _, st := range []struct {
+		name string
+		wrap func(Oracle) Oracle
+	}{
+		{"caching", func(o Oracle) Oracle { return NewCaching(o) }},
+		{"limit", func(o Oracle) Oracle { return NewLimit(o, 1<<20) }},
+		{"limit-trips", func(o Oracle) Oracle { return NewLimitTrips(o, 1<<20) }},
+		{"recorder", func(o Oracle) Oracle { return NewRecorder(o) }},
+		{"counter", func(o Oracle) Oracle { return NewCounter(o) }},
+		{"limit/limit-trips/caching", func(o Oracle) Oracle {
+			return NewLimit(NewLimitTrips(NewCaching(o), 1<<20), 1<<20)
+		}},
+	} {
+		t.Run(st.name, func(t *testing.T) {
+			src := &noBoundSource{b: newBatchSource(g)}
+			p := NewPrefetch(src, WithFetchWidth(DefaultFetchWidth))
+			c := NewCounter(st.wrap(p))
+			for v := 0; v < 10; v++ {
+				c.Neighbors(v)
+			}
+			got := c.Stats()
+			if got.RemainderTrips == 0 {
+				t.Fatal("wide rows behind a static width reported zero remainder trips through the chain")
+			}
+			if got.RemainderTrips != p.RemainderTrips() {
+				t.Fatalf("Stats.RemainderTrips = %d, tier counted %d", got.RemainderTrips, p.RemainderTrips())
+			}
+			if got.FetchWidth != DefaultFetchWidth {
+				t.Fatalf("Stats.FetchWidth = %d through the chain, want %d", got.FetchWidth, DefaultFetchWidth)
+			}
+			if got.RoundTrips != src.RoundTrips() {
+				t.Fatalf("Stats.RoundTrips = %d, source counted %d", got.RoundTrips, src.RoundTrips())
+			}
+			// Reset rebaselines the counter's remainder window; the width
+			// is a gauge and survives.
+			c.Reset()
+			if got := c.Stats(); got.RemainderTrips != 0 || got.FetchWidth != DefaultFetchWidth {
+				t.Fatalf("after Reset: remainder trips %d, width %d", got.RemainderTrips, got.FetchWidth)
+			}
+		})
 	}
 }

@@ -127,12 +127,44 @@ func TestLimitTripsPanicsOverBudget(t *testing.T) {
 	l.Degree(2)
 }
 
-func TestLimitTripsForwardsCounters(t *testing.T) {
+// TestLimitTripsWindowThroughCounter: the trip window starts at the
+// chain's count at construction, and a Counter above the limiter reads
+// the same round trips the limiter charges.
+func TestLimitTripsWindowThroughCounter(t *testing.T) {
 	inner := &tripCountingOracle{Oracle: New(testGraph())}
 	inner.trips = 7 // pre-existing traffic: the budget window starts here
-	l := NewLimitTrips(inner, 100)
-	l.Degree(0)
-	if rt := l.(interface{ RoundTrips() uint64 }).RoundTrips(); rt != 8 {
-		t.Fatalf("RoundTrips = %d, want 8", rt)
+	c := NewCounter(NewLimitTrips(inner, 1))
+	c.Degree(0)
+	if st := c.Stats(); st.RoundTrips != 1 || inner.trips != 8 {
+		t.Fatalf("Stats.RoundTrips = %d (chain at %d), want 1 (chain at 8)", st.RoundTrips, inner.trips)
+	}
+	defer func() {
+		if _, ok := recover().(ErrTripBudgetExceeded); !ok {
+			t.Fatal("the second trip past a window opened at 7 must exceed a budget of 1")
+		}
+	}()
+	c.Degree(1)
+}
+
+// TestLimitTripsSkipsLocalChains: the round-trip counter is looked for
+// down the whole chain, so a probe limiter, a memo or a row tier over a
+// local source hides nothing and adds no trip limiter, while the same
+// wrappers over a counting backend still get one.
+func TestLimitTripsSkipsLocalChains(t *testing.T) {
+	g := testGraph()
+	for _, o := range []Oracle{
+		NewLimit(New(g), 10),
+		NewCaching(NewLimit(New(g), 10)),
+		NewPrefetch(g),
+		NewTiered(g, nil),
+		NewCounter(NewRecorder(g)),
+	} {
+		if got := NewLimitTrips(o, 10); got != o {
+			t.Fatalf("NewLimitTrips(%T over a local source) = %T, want its input", o, got)
+		}
+	}
+	remote := NewLimit(&tripCountingOracle{Oracle: New(g)}, 10)
+	if got := NewLimitTrips(remote, 10); got == Oracle(remote) {
+		t.Fatal("a limiter over a round-trip counter must be trip-limited")
 	}
 }

@@ -38,6 +38,19 @@
 // LimitOracle) is unchanged: budgets and probe counts charge the cells the
 // algorithm reads, and round trips are measured separately (Stats.Batches,
 // Stats.RoundTrips).
+//
+// # Transport accounting
+//
+// Round trips, failovers, hedges, attestation failures, proof bytes,
+// remainder trips and page locality are counted by the layer that moves
+// them (the network or mapped source, or the PrefetchOracle) and nowhere
+// else. Every wrapper here exposes its inner oracle through one
+// Unwrap() Oracle method, like errors.Unwrap, and forwards no counters;
+// NewCounter and NewLimitTrips walk the chain through Unwrap once and keep
+// the first source.RoundTripCounter, source.FailoverCounter,
+// source.AttestCounter, *PrefetchOracle and source.LocalityOf reporter
+// they meet. A wrapper defined outside this package joins the walk by
+// defining the same method.
 package oracle
 
 import (
@@ -174,7 +187,8 @@ type Stats struct {
 // measure; batches and round trips are transport accounting, not probes).
 func (s Stats) Total() uint64 { return s.Neighbor + s.Degree + s.Adjacency }
 
-// Sub returns s - t componentwise, for before/after deltas.
+// Sub returns s - t componentwise, for before/after deltas. FetchWidth is
+// a gauge, not a counter, so the delta keeps the newer snapshot's value.
 func (s Stats) Sub(t Stats) Stats {
 	return Stats{
 		Neighbor:       s.Neighbor - t.Neighbor,
@@ -186,8 +200,6 @@ func (s Stats) Sub(t Stats) Stats {
 		Hedges:         s.Hedges - t.Hedges,
 		AttestFailures: s.AttestFailures - t.AttestFailures,
 		ProofBytes:     s.ProofBytes - t.ProofBytes,
-		// RemainderTrips is a counter like the rest; FetchWidth is a gauge,
-		// so the delta keeps the newer snapshot's value.
 		RemainderTrips: s.RemainderTrips - t.RemainderTrips,
 		FetchWidth:     s.FetchWidth,
 		PageTouches:    s.PageTouches - t.PageTouches,
@@ -195,16 +207,89 @@ func (s Stats) Sub(t Stats) Stats {
 	}
 }
 
-// PrefetchReporter is the optional capability of a prefetching oracle tier
-// to report its speculative width and remainder-trip count. PrefetchOracle
-// implements it; the accounting wrappers forward it so a Counter stacked
-// anywhere above the tier can include both in its Stats.
-type PrefetchReporter interface {
-	// FetchWidth returns the current speculative width (a gauge).
-	FetchWidth() int
-	// RemainderTrips returns the cumulative count of remainder batches
-	// issued because a row exceeded the speculative width.
-	RemainderTrips() uint64
+// Add returns s + t componentwise, for folding deltas into a total.
+// FetchWidth is a gauge: the sum keeps t's width when t has one (the
+// later snapshot) and s's otherwise.
+func (s Stats) Add(t Stats) Stats {
+	fw := s.FetchWidth
+	if t.FetchWidth > 0 {
+		fw = t.FetchWidth
+	}
+	return Stats{
+		Neighbor:       s.Neighbor + t.Neighbor,
+		Degree:         s.Degree + t.Degree,
+		Adjacency:      s.Adjacency + t.Adjacency,
+		Batches:        s.Batches + t.Batches,
+		RoundTrips:     s.RoundTrips + t.RoundTrips,
+		Failovers:      s.Failovers + t.Failovers,
+		Hedges:         s.Hedges + t.Hedges,
+		AttestFailures: s.AttestFailures + t.AttestFailures,
+		ProofBytes:     s.ProofBytes + t.ProofBytes,
+		RemainderTrips: s.RemainderTrips + t.RemainderTrips,
+		FetchWidth:     fw,
+		PageTouches:    s.PageTouches + t.PageTouches,
+		LocalHits:      s.LocalHits + t.LocalHits,
+	}
+}
+
+// transport holds the first transport counter of each kind found down an
+// oracle chain (see the package doc). A nil field reads as 0.
+type transport struct {
+	rt source.RoundTripCounter
+	fo source.FailoverCounter
+	ac source.AttestCounter
+	pf *PrefetchOracle
+	lr source.LocalityReporter
+}
+
+// transportOf walks o's wrapper chain through Unwrap.
+func transportOf(o Oracle) transport {
+	var t transport
+	for o != nil {
+		if rt, ok := o.(source.RoundTripCounter); ok && t.rt == nil {
+			t.rt = rt
+		}
+		if fo, ok := o.(source.FailoverCounter); ok && t.fo == nil {
+			t.fo = fo
+		}
+		if ac, ok := o.(source.AttestCounter); ok && t.ac == nil {
+			t.ac = ac
+		}
+		if pf, ok := o.(*PrefetchOracle); ok && t.pf == nil {
+			t.pf = pf
+		}
+		if lr, ok := source.LocalityOf(o); ok && t.lr == nil {
+			t.lr = lr
+		}
+		w, ok := o.(interface{ Unwrap() Oracle })
+		if !ok {
+			break
+		}
+		o = w.Unwrap()
+	}
+	return t
+}
+
+// read returns the transport counters' current values; the cell counts
+// and Batches, which only a Counter sees, stay 0.
+func (t *transport) read() Stats {
+	var s Stats
+	if t.rt != nil {
+		s.RoundTrips = t.rt.RoundTrips()
+	}
+	if t.fo != nil {
+		s.Failovers, s.Hedges = t.fo.Failovers(), t.fo.Hedges()
+	}
+	if t.ac != nil {
+		s.AttestFailures, s.ProofBytes = t.ac.AttestFailures(), t.ac.ProofBytes()
+	}
+	if t.pf != nil {
+		s.RemainderTrips, s.FetchWidth = t.pf.RemainderTrips(), uint64(t.pf.FetchWidth())
+	}
+	if t.lr != nil {
+		s.PageTouches, s.LocalHits = t.lr.PageTouches(), t.lr.LocalHits()
+	}
+	return s
 }
 
 // Counter wraps an Oracle and counts probes by type. It is not safe for
@@ -214,26 +299,16 @@ type PrefetchReporter interface {
 // Counter is exploration-aware: Neighbors charges exactly what the scalar
 // loop would (one Degree plus one Neighbor per cell) and Prefetch charges
 // nothing per cell — both count one batch operation — so probe complexity
-// is measured identically however the algorithm expresses its scans. When
-// the wrapped chain exposes the source.RoundTripCounter capability, Stats
-// additionally reports the network round trips consumed since
-// construction (or the last Reset).
+// is measured identically however the algorithm expresses its scans.
+// Stats additionally reports the transport the chain consumed since
+// construction (or the last Reset): NewCounter walks the wrapper chain
+// through Unwrap once and reads round trips, failovers, attestation,
+// prefetch and page-locality counters where they live.
 type Counter struct {
 	inner Oracle
-	stats Stats
-	rt    source.RoundTripCounter // non-nil when the chain reports round trips
-	rt0   uint64                  // round-trip count at construction/Reset
-	fo    source.FailoverCounter  // non-nil when the chain reports failovers/hedges
-	fo0   uint64                  // failover count at construction/Reset
-	he0   uint64                  // hedge count at construction/Reset
-	ac    source.AttestCounter    // non-nil when the chain verifies attested probes
-	af0   uint64                  // attestation-failure count at construction/Reset
-	pb0   uint64                  // proof-byte count at construction/Reset
-	pr    PrefetchReporter        // non-nil when the chain has a prefetch tier
-	rem0  uint64                  // remainder-trip count at construction/Reset
-	lr    source.LocalityReporter // non-nil when the chain reports page locality
-	pt0   uint64                  // page-touch count at construction/Reset
-	lh0   uint64                  // local-hit count at construction/Reset
+	cells Stats     // probe and batch counts charged here
+	tp    transport // the chain's transport counters
+	base  Stats     // tp's reading at construction or the last Reset
 }
 
 var (
@@ -243,48 +318,32 @@ var (
 
 // NewCounter wraps inner with probe accounting.
 func NewCounter(inner Oracle) *Counter {
-	c := &Counter{inner: inner}
-	if rt, ok := inner.(source.RoundTripCounter); ok {
-		c.rt = rt
-		c.rt0 = rt.RoundTrips()
-	}
-	if fo, ok := inner.(source.FailoverCounter); ok {
-		c.fo = fo
-		c.fo0, c.he0 = fo.Failovers(), fo.Hedges()
-	}
-	if ac, ok := inner.(source.AttestCounter); ok {
-		c.ac = ac
-		c.af0, c.pb0 = ac.AttestFailures(), ac.ProofBytes()
-	}
-	if pr, ok := inner.(PrefetchReporter); ok {
-		c.pr = pr
-		c.rem0 = pr.RemainderTrips()
-	}
-	if lr, ok := inner.(source.LocalityReporter); ok {
-		c.lr = lr
-		c.pt0, c.lh0 = lr.PageTouches(), lr.LocalHits()
-	}
+	c := &Counter{inner: inner, tp: transportOf(inner)}
+	c.base = c.tp.read()
 	return c
 }
+
+// Unwrap returns the wrapped oracle.
+func (c *Counter) Unwrap() Oracle { return c.inner }
 
 // N implements Oracle (not counted; n is public knowledge in the model).
 func (c *Counter) N() int { return c.inner.N() }
 
 // Degree implements Oracle.
 func (c *Counter) Degree(v int) int {
-	c.stats.Degree++
+	c.cells.Degree++
 	return c.inner.Degree(v)
 }
 
 // Neighbor implements Oracle.
 func (c *Counter) Neighbor(v, i int) int {
-	c.stats.Neighbor++
+	c.cells.Neighbor++
 	return c.inner.Neighbor(v, i)
 }
 
 // Adjacency implements Oracle.
 func (c *Counter) Adjacency(u, v int) int {
-	c.stats.Adjacency++
+	c.cells.Adjacency++
 	return c.inner.Adjacency(u, v)
 }
 
@@ -292,9 +351,9 @@ func (c *Counter) Adjacency(u, v int) int {
 // Neighbor probe per returned cell — exactly the scalar loop's account.
 func (c *Counter) Neighbors(v int) []int {
 	row := Neighbors(c.inner, v)
-	c.stats.Degree++
-	c.stats.Neighbor += uint64(len(row))
-	c.stats.Batches++
+	c.cells.Degree++
+	c.cells.Neighbor += uint64(len(row))
+	c.cells.Batches++
 	return row
 }
 
@@ -303,135 +362,18 @@ func (c *Counter) Prefetch(vs ...int) {
 	if len(vs) == 0 {
 		return
 	}
-	c.stats.Batches++
+	c.cells.Batches++
 	Prefetch(c.inner, vs...)
 }
 
-// RoundTrips forwards the chain's round-trip count (0 when local), so
-// stacked wrappers keep the capability visible.
-func (c *Counter) RoundTrips() uint64 {
-	if c.rt != nil {
-		return c.rt.RoundTrips()
-	}
-	return 0
-}
-
-// Failovers forwards the chain's failover count (0 when non-sharded), so
-// stacked wrappers keep the capability visible.
-func (c *Counter) Failovers() uint64 {
-	if c.fo != nil {
-		return c.fo.Failovers()
-	}
-	return 0
-}
-
-// Hedges forwards the chain's hedge count (0 when non-sharded).
-func (c *Counter) Hedges() uint64 {
-	if c.fo != nil {
-		return c.fo.Hedges()
-	}
-	return 0
-}
-
-// AttestFailures forwards the chain's attestation-failure count (0 when
-// unattested), so stacked wrappers keep the capability visible.
-func (c *Counter) AttestFailures() uint64 {
-	if c.ac != nil {
-		return c.ac.AttestFailures()
-	}
-	return 0
-}
-
-// ProofBytes forwards the chain's transported-proof-byte count (0 when
-// unattested).
-func (c *Counter) ProofBytes() uint64 {
-	if c.ac != nil {
-		return c.ac.ProofBytes()
-	}
-	return 0
-}
-
-// FetchWidth forwards the chain's speculative prefetch width (0 when no
-// prefetch tier is present), so stacked wrappers keep the capability
-// visible.
-func (c *Counter) FetchWidth() int {
-	if c.pr != nil {
-		return c.pr.FetchWidth()
-	}
-	return 0
-}
-
-// RemainderTrips forwards the chain's remainder-trip count (0 when no
-// prefetch tier is present).
-func (c *Counter) RemainderTrips() uint64 {
-	if c.pr != nil {
-		return c.pr.RemainderTrips()
-	}
-	return 0
-}
-
-// PageTouches forwards the chain's page-touch count (0 when no
-// page-mapped backend is underneath), so stacked wrappers keep the
-// capability visible.
-func (c *Counter) PageTouches() uint64 {
-	if c.lr != nil {
-		return c.lr.PageTouches()
-	}
-	return 0
-}
-
-// LocalHits forwards the chain's same-page-hit count (0 when no
-// page-mapped backend is underneath).
-func (c *Counter) LocalHits() uint64 {
-	if c.lr != nil {
-		return c.lr.LocalHits()
-	}
-	return 0
-}
-
-// Stats returns the probe counts so far.
-func (c *Counter) Stats() Stats {
-	s := c.stats
-	if c.rt != nil {
-		s.RoundTrips = c.rt.RoundTrips() - c.rt0
-	}
-	if c.fo != nil {
-		s.Failovers = c.fo.Failovers() - c.fo0
-		s.Hedges = c.fo.Hedges() - c.he0
-	}
-	if c.ac != nil {
-		s.AttestFailures = c.ac.AttestFailures() - c.af0
-		s.ProofBytes = c.ac.ProofBytes() - c.pb0
-	}
-	if c.pr != nil {
-		s.RemainderTrips = c.pr.RemainderTrips() - c.rem0
-		s.FetchWidth = uint64(c.pr.FetchWidth())
-	}
-	if c.lr != nil {
-		s.PageTouches = c.lr.PageTouches() - c.pt0
-		s.LocalHits = c.lr.LocalHits() - c.lh0
-	}
-	return s
-}
+// Stats returns the probe counts so far, with the transport the chain
+// consumed over the same window.
+func (c *Counter) Stats() Stats { return c.cells.Add(c.tp.read().Sub(c.base)) }
 
 // Reset zeroes the counters.
 func (c *Counter) Reset() {
-	c.stats = Stats{}
-	if c.rt != nil {
-		c.rt0 = c.rt.RoundTrips()
-	}
-	if c.fo != nil {
-		c.fo0, c.he0 = c.fo.Failovers(), c.fo.Hedges()
-	}
-	if c.ac != nil {
-		c.af0, c.pb0 = c.ac.AttestFailures(), c.ac.ProofBytes()
-	}
-	if c.pr != nil {
-		c.rem0 = c.pr.RemainderTrips()
-	}
-	if c.lr != nil {
-		c.pt0, c.lh0 = c.lr.PageTouches(), c.lr.LocalHits()
-	}
+	c.cells = Stats{}
+	c.base = c.tp.read()
 }
 
 // ProbeKind identifies a probe type in a recorded trace.
@@ -462,6 +404,9 @@ var _ Oracle = (*Recorder)(nil)
 
 // NewRecorder wraps inner with trace recording.
 func NewRecorder(inner Oracle) *Recorder { return &Recorder{inner: inner} }
+
+// Unwrap returns the wrapped oracle.
+func (r *Recorder) Unwrap() Oracle { return r.inner }
 
 // N implements Oracle.
 func (r *Recorder) N() int { return r.inner.N() }
@@ -541,6 +486,9 @@ func NewCaching(inner Oracle) *CachingOracle {
 // vertex IDs or list indices, both well under 2^32).
 func cacheKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
 
+// Unwrap returns the wrapped oracle.
+func (c *CachingOracle) Unwrap() Oracle { return c.inner }
+
 // N implements Oracle.
 func (c *CachingOracle) N() int { return c.inner.N() }
 
@@ -616,83 +564,3 @@ func (c *CachingOracle) Neighbors(v int) []int {
 // Prefetch implements Explorer, forwarding the hint so a prefetching inner
 // oracle can prime its rows; the memo itself fills only from reads.
 func (c *CachingOracle) Prefetch(vs ...int) { Prefetch(c.inner, vs...) }
-
-// RoundTrips forwards the chain's round-trip count (0 when local), so a
-// Counter stacked above a shared caching tier — the parallel label
-// assembly's chain — still reports the network cost underneath.
-func (c *CachingOracle) RoundTrips() uint64 {
-	if rt, ok := c.inner.(source.RoundTripCounter); ok {
-		return rt.RoundTrips()
-	}
-	return 0
-}
-
-// Failovers forwards the chain's failover count (0 when non-sharded).
-func (c *CachingOracle) Failovers() uint64 {
-	if fo, ok := c.inner.(source.FailoverCounter); ok {
-		return fo.Failovers()
-	}
-	return 0
-}
-
-// Hedges forwards the chain's hedge count (0 when non-sharded).
-func (c *CachingOracle) Hedges() uint64 {
-	if fo, ok := c.inner.(source.FailoverCounter); ok {
-		return fo.Hedges()
-	}
-	return 0
-}
-
-// AttestFailures forwards the chain's attestation-failure count (0 when
-// unattested).
-func (c *CachingOracle) AttestFailures() uint64 {
-	if ac, ok := c.inner.(source.AttestCounter); ok {
-		return ac.AttestFailures()
-	}
-	return 0
-}
-
-// ProofBytes forwards the chain's transported-proof-byte count (0 when
-// unattested).
-func (c *CachingOracle) ProofBytes() uint64 {
-	if ac, ok := c.inner.(source.AttestCounter); ok {
-		return ac.ProofBytes()
-	}
-	return 0
-}
-
-// FetchWidth forwards the chain's speculative prefetch width (0 when no
-// prefetch tier is underneath).
-func (c *CachingOracle) FetchWidth() int {
-	if pr, ok := c.inner.(PrefetchReporter); ok {
-		return pr.FetchWidth()
-	}
-	return 0
-}
-
-// RemainderTrips forwards the chain's remainder-trip count (0 when no
-// prefetch tier is underneath).
-func (c *CachingOracle) RemainderTrips() uint64 {
-	if pr, ok := c.inner.(PrefetchReporter); ok {
-		return pr.RemainderTrips()
-	}
-	return 0
-}
-
-// PageTouches forwards the chain's page-touch count (0 when no
-// page-mapped backend is underneath).
-func (c *CachingOracle) PageTouches() uint64 {
-	if lr, ok := c.inner.(source.LocalityReporter); ok {
-		return lr.PageTouches()
-	}
-	return 0
-}
-
-// LocalHits forwards the chain's same-page-hit count (0 when no
-// page-mapped backend is underneath).
-func (c *CachingOracle) LocalHits() uint64 {
-	if lr, ok := c.inner.(source.LocalityReporter); ok {
-		return lr.LocalHits()
-	}
-	return 0
-}

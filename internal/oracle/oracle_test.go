@@ -74,6 +74,24 @@ func TestStatsSub(t *testing.T) {
 	}
 }
 
+// TestStatsAddInvertsSub: Add folds a delta back in exactly, for every
+// counter; FetchWidth is a gauge and keeps the later nonzero width.
+func TestStatsAddInvertsSub(t *testing.T) {
+	f := func(a, b Stats) bool {
+		a.FetchWidth, b.FetchWidth = 0, 0
+		return a.Add(b).Sub(b) == a && a.Add(b).Add(Stats{}) == b.Add(a)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := (Stats{FetchWidth: 8}).Add(Stats{FetchWidth: 16}).FetchWidth; got != 16 {
+		t.Fatalf("gauge sum kept width %d, want the later 16", got)
+	}
+	if got := (Stats{FetchWidth: 8}).Add(Stats{}).FetchWidth; got != 8 {
+		t.Fatalf("gauge sum with no later width kept %d, want 8", got)
+	}
+}
+
 func TestRecorder(t *testing.T) {
 	r := NewRecorder(New(testGraph()))
 	r.Degree(3)

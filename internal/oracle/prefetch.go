@@ -94,9 +94,8 @@ type PrefetchOracle struct {
 }
 
 var (
-	_ Oracle           = (*PrefetchOracle)(nil)
-	_ Explorer         = (*PrefetchOracle)(nil)
-	_ PrefetchReporter = (*PrefetchOracle)(nil)
+	_ Oracle   = (*PrefetchOracle)(nil)
+	_ Explorer = (*PrefetchOracle)(nil)
 )
 
 // PrefetchStats is the transport-side accounting of a PrefetchOracle.
@@ -204,72 +203,8 @@ func (p *PrefetchOracle) PrefetchStats() PrefetchStats {
 	return p.stats
 }
 
-// RoundTrips implements source.RoundTripCounter by forwarding the
-// backend's count: the true network cost, scalar fallthroughs included.
-// Local backends (no capability) report 0 — their batches cross no wire.
-func (p *PrefetchOracle) RoundTrips() uint64 {
-	if rt, ok := p.src.(source.RoundTripCounter); ok {
-		return rt.RoundTrips()
-	}
-	return 0
-}
-
-// Failovers forwards the backend's failover count (0 when non-sharded),
-// keeping the source.FailoverCounter capability visible through the
-// prefetching tier.
-func (p *PrefetchOracle) Failovers() uint64 {
-	if fo, ok := p.src.(source.FailoverCounter); ok {
-		return fo.Failovers()
-	}
-	return 0
-}
-
-// Hedges forwards the backend's hedge count (0 when non-sharded).
-func (p *PrefetchOracle) Hedges() uint64 {
-	if fo, ok := p.src.(source.FailoverCounter); ok {
-		return fo.Hedges()
-	}
-	return 0
-}
-
-// AttestFailures forwards the backend's attestation-failure count (0 when
-// unattested), keeping the source.AttestCounter capability visible
-// through the prefetching tier.
-func (p *PrefetchOracle) AttestFailures() uint64 {
-	if ac, ok := p.src.(source.AttestCounter); ok {
-		return ac.AttestFailures()
-	}
-	return 0
-}
-
-// ProofBytes forwards the backend's transported-proof-byte count (0 when
-// unattested).
-func (p *PrefetchOracle) ProofBytes() uint64 {
-	if ac, ok := p.src.(source.AttestCounter); ok {
-		return ac.ProofBytes()
-	}
-	return 0
-}
-
-// PageTouches forwards the backend's page-touch count (0 when no
-// page-mapped backend is underneath), keeping the
-// source.LocalityReporter capability visible through the prefetching
-// tier.
-func (p *PrefetchOracle) PageTouches() uint64 {
-	if lr, ok := source.LocalityOf(p.src); ok {
-		return lr.PageTouches()
-	}
-	return 0
-}
-
-// LocalHits forwards the backend's same-page-hit count (0 when no
-// page-mapped backend is underneath).
-func (p *PrefetchOracle) LocalHits() uint64 {
-	if lr, ok := source.LocalityOf(p.src); ok {
-		return lr.LocalHits()
-	}
-	return 0
-}
+// Unwrap returns the source under the prefetching tier.
+func (p *PrefetchOracle) Unwrap() Oracle { return p.src }
 
 // N implements Oracle (free, as everywhere in the model).
 func (p *PrefetchOracle) N() int { return p.n }

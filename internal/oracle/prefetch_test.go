@@ -150,8 +150,9 @@ func TestPrefetchOracleScalarFallback(t *testing.T) {
 	// answer identically (scalar loops under the hood).
 	g := testGraph()
 	p := NewPrefetch(g)
+	c := NewCounter(p)
 	for v := 0; v < g.N(); v++ {
-		row := p.Neighbors(v)
+		row := c.Neighbors(v)
 		if len(row) != g.Degree(v) {
 			t.Fatalf("fallback Neighbors(%d) has %d cells, want %d", v, len(row), g.Degree(v))
 		}
@@ -161,7 +162,7 @@ func TestPrefetchOracleScalarFallback(t *testing.T) {
 			}
 		}
 	}
-	if p.RoundTrips() != 0 {
+	if c.Stats().RoundTrips != 0 {
 		t.Fatal("local fallback reported network round trips")
 	}
 }

@@ -464,6 +464,9 @@ func (t *TieredOracle) fetch(v int) []int {
 	return row
 }
 
+// Unwrap returns the source under the tier.
+func (t *TieredOracle) Unwrap() Oracle { return t.src }
+
 // N implements Oracle (free, as everywhere in the model).
 func (t *TieredOracle) N() int { return t.n }
 
@@ -528,67 +531,4 @@ func (t *TieredOracle) Prefetch(vs ...int) {
 			t.row(v)
 		}
 	}
-}
-
-// Capability forwarders: the tier must not hide the chain's transport
-// accounting from the Counter stacked above it.
-
-// RoundTrips forwards the backend's round-trip count (0 when local).
-func (t *TieredOracle) RoundTrips() uint64 {
-	if rt, ok := t.src.(source.RoundTripCounter); ok {
-		return rt.RoundTrips()
-	}
-	return 0
-}
-
-// Failovers forwards the backend's failover count (0 when non-sharded).
-func (t *TieredOracle) Failovers() uint64 {
-	if fo, ok := t.src.(source.FailoverCounter); ok {
-		return fo.Failovers()
-	}
-	return 0
-}
-
-// Hedges forwards the backend's hedge count (0 when non-sharded).
-func (t *TieredOracle) Hedges() uint64 {
-	if fo, ok := t.src.(source.FailoverCounter); ok {
-		return fo.Hedges()
-	}
-	return 0
-}
-
-// AttestFailures forwards the backend's attestation-failure count (0
-// when unattested).
-func (t *TieredOracle) AttestFailures() uint64 {
-	if ac, ok := t.src.(source.AttestCounter); ok {
-		return ac.AttestFailures()
-	}
-	return 0
-}
-
-// ProofBytes forwards the backend's transported-proof-byte count (0 when
-// unattested).
-func (t *TieredOracle) ProofBytes() uint64 {
-	if ac, ok := t.src.(source.AttestCounter); ok {
-		return ac.ProofBytes()
-	}
-	return 0
-}
-
-// PageTouches forwards the backend's page-touch count (0 when no
-// page-mapped backend is underneath).
-func (t *TieredOracle) PageTouches() uint64 {
-	if lr, ok := source.LocalityOf(t.src); ok {
-		return lr.PageTouches()
-	}
-	return 0
-}
-
-// LocalHits forwards the backend's same-page-hit count (0 when no
-// page-mapped backend is underneath).
-func (t *TieredOracle) LocalHits() uint64 {
-	if lr, ok := source.LocalityOf(t.src); ok {
-		return lr.LocalHits()
-	}
-	return 0
 }

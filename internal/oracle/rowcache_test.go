@@ -280,16 +280,20 @@ func TestTieredOracleNeighborsSurvivesReset(t *testing.T) {
 	}
 }
 
-func TestTieredOracleForwardsTransportCounters(t *testing.T) {
+// TestTieredOracleTransportThroughCounter: the tier counts no transport
+// of its own; a Counter above it reads the source's round trips through
+// Unwrap, and capabilities the source lacks read 0.
+func TestTieredOracleTransportThroughCounter(t *testing.T) {
 	bs := newBatchSource(tierGraph(50, 4))
-	to := NewTiered(bs, nil)
-	to.Degree(1)
-	if to.RoundTrips() == 0 {
-		t.Fatal("RoundTrips not forwarded through the tier")
+	c := NewCounter(NewTiered(bs, nil))
+	c.Degree(1)
+	st := c.Stats()
+	if st.RoundTrips == 0 || st.RoundTrips != bs.RoundTrips() {
+		t.Fatalf("Stats.RoundTrips = %d through the tier, source counted %d", st.RoundTrips, bs.RoundTrips())
 	}
-	if to.Failovers() != 0 || to.Hedges() != 0 || to.AttestFailures() != 0 ||
-		to.ProofBytes() != 0 || to.PageTouches() != 0 || to.LocalHits() != 0 {
-		t.Fatal("absent capabilities must read 0")
+	if st.Failovers != 0 || st.Hedges != 0 || st.AttestFailures != 0 ||
+		st.ProofBytes != 0 || st.PageTouches != 0 || st.LocalHits != 0 {
+		t.Fatalf("absent capabilities must read 0: %+v", st)
 	}
 }
 

@@ -26,17 +26,13 @@ func (s *Server) logQuery(w http.ResponseWriter, kind, algo string, ten *tenantS
 	if s.log == nil {
 		return
 	}
-	var probes, rts uint64
+	var st answerStats
+	if a, ok := ans.(interface{ stats() answerStats }); ok {
+		st = a.stats()
+	}
 	var traceID string
-	switch a := ans.(type) {
-	case edgeAnswer:
-		probes, rts, traceID = a.Probes, a.RoundTrips, a.TraceID
-	case vertexAnswer:
-		probes, rts, traceID = a.Probes, a.RoundTrips, a.TraceID
-	case labelAnswer:
-		probes, rts, traceID = a.Probes, a.RoundTrips, a.TraceID
-	case estimateAnswer:
-		traceID = a.TraceID
+	if a, ok := ans.(interface{ traceID() string }); ok {
+		traceID = a.traceID()
 	}
 	attrs := make([]any, 0, 18)
 	attrs = append(attrs,
@@ -45,8 +41,8 @@ func (s *Server) logQuery(w http.ResponseWriter, kind, algo string, ten *tenantS
 		"algo", algo,
 		"status", http.StatusOK,
 		"duration_us", elapsed.Microseconds(),
-		"probes", probes,
-		"round_trips", rts,
+		"probes", st.Probes,
+		"round_trips", st.RoundTrips,
 	)
 	if ten != nil {
 		attrs = append(attrs, "tenant", ten.Name)

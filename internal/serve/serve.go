@@ -654,21 +654,49 @@ func statsOf(inst any) oracle.Stats {
 
 // kind handlers --------------------------------------------------------
 
+// answerStats is the probe and transport block of every point-query
+// answer. Embedded, its fields encode in place, between the answer's own
+// fields and its trace reference.
+type answerStats struct {
+	Probes      uint64 `json:"probes"`
+	RoundTrips  uint64 `json:"round_trips,omitempty"`
+	Failovers   uint64 `json:"failovers,omitempty"`
+	Hedges      uint64 `json:"hedges,omitempty"`
+	AttestFail  uint64 `json:"attest_failures,omitempty"`
+	Remainders  uint64 `json:"remainder_trips,omitempty"`
+	PageTouches uint64 `json:"page_touches,omitempty"`
+	LocalHits   uint64 `json:"local_hits,omitempty"`
+}
+
+// statsBlock is the answer block of one execution's probe stats.
+func statsBlock(st oracle.Stats) answerStats {
+	return answerStats{
+		Probes: st.Total(), RoundTrips: st.RoundTrips, Failovers: st.Failovers, Hedges: st.Hedges,
+		AttestFail: st.AttestFailures, Remainders: st.RemainderTrips,
+		PageTouches: st.PageTouches, LocalHits: st.LocalHits,
+	}
+}
+
+// stats returns the block (promoted to every answer embedding it).
+func (a answerStats) stats() answerStats { return a }
+
+// answerTrace is the trace reference every answer ends with when its
+// query was sampled.
+type answerTrace struct {
+	TraceID string       `json:"trace_id,omitempty"`
+	Trace   []trace.Span `json:"trace,omitempty"`
+}
+
+// traceID returns the reference's id (promoted to every answer).
+func (a answerTrace) traceID() string { return a.TraceID }
+
 type edgeAnswer struct {
-	Algo        string       `json:"algo"`
-	U           int          `json:"u"`
-	V           int          `json:"v"`
-	In          bool         `json:"in"`
-	Probes      uint64       `json:"probes"`
-	RoundTrips  uint64       `json:"round_trips,omitempty"`
-	Failovers   uint64       `json:"failovers,omitempty"`
-	Hedges      uint64       `json:"hedges,omitempty"`
-	AttestFail  uint64       `json:"attest_failures,omitempty"`
-	Remainders  uint64       `json:"remainder_trips,omitempty"`
-	PageTouches uint64       `json:"page_touches,omitempty"`
-	LocalHits   uint64       `json:"local_hits,omitempty"`
-	TraceID     string       `json:"trace_id,omitempty"`
-	Trace       []trace.Span `json:"trace,omitempty"`
+	Algo string `json:"algo"`
+	U    int    `json:"u"`
+	V    int    `json:"v"`
+	In   bool   `json:"in"`
+	answerStats
+	answerTrace
 }
 
 func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
@@ -736,10 +764,7 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 		}
 		st := statsOf(inst)
 		s.met.observeExec(st)
-		ans := edgeAnswer{Algo: d.Name, U: u, V: v, In: in,
-			Probes: st.Total(), RoundTrips: st.RoundTrips, Failovers: st.Failovers, Hedges: st.Hedges,
-			AttestFail: st.AttestFailures, Remainders: st.RemainderTrips,
-			PageTouches: st.PageTouches, LocalHits: st.LocalHits}
+		ans := edgeAnswer{Algo: d.Name, U: u, V: v, In: in, answerStats: statsBlock(st)}
 		s.recordAudit("edge", d, ns, p, map[string]int{"u": u, "v": v}, rec, map[string]any{"in": in})
 		ans.TraceID, ans.Trace = s.finishTrace(qt, st, nil)
 		return ans, nil
@@ -754,19 +779,11 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 }
 
 type vertexAnswer struct {
-	Algo        string       `json:"algo"`
-	V           int          `json:"v"`
-	In          bool         `json:"in"`
-	Probes      uint64       `json:"probes"`
-	RoundTrips  uint64       `json:"round_trips,omitempty"`
-	Failovers   uint64       `json:"failovers,omitempty"`
-	Hedges      uint64       `json:"hedges,omitempty"`
-	AttestFail  uint64       `json:"attest_failures,omitempty"`
-	Remainders  uint64       `json:"remainder_trips,omitempty"`
-	PageTouches uint64       `json:"page_touches,omitempty"`
-	LocalHits   uint64       `json:"local_hits,omitempty"`
-	TraceID     string       `json:"trace_id,omitempty"`
-	Trace       []trace.Span `json:"trace,omitempty"`
+	Algo string `json:"algo"`
+	V    int    `json:"v"`
+	In   bool   `json:"in"`
+	answerStats
+	answerTrace
 }
 
 func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
@@ -822,10 +839,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 		}
 		st := statsOf(inst)
 		s.met.observeExec(st)
-		ans := vertexAnswer{Algo: d.Name, V: v, In: in,
-			Probes: st.Total(), RoundTrips: st.RoundTrips, Failovers: st.Failovers, Hedges: st.Hedges,
-			AttestFail: st.AttestFailures, Remainders: st.RemainderTrips,
-			PageTouches: st.PageTouches, LocalHits: st.LocalHits}
+		ans := vertexAnswer{Algo: d.Name, V: v, In: in, answerStats: statsBlock(st)}
 		s.recordAudit("vertex", d, ns, p, map[string]int{"v": v}, rec, map[string]any{"in": in})
 		ans.TraceID, ans.Trace = s.finishTrace(qt, st, nil)
 		return ans, nil
@@ -840,19 +854,11 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 }
 
 type labelAnswer struct {
-	Algo        string       `json:"algo"`
-	V           int          `json:"v"`
-	Label       int          `json:"label"`
-	Probes      uint64       `json:"probes"`
-	RoundTrips  uint64       `json:"round_trips,omitempty"`
-	Failovers   uint64       `json:"failovers,omitempty"`
-	Hedges      uint64       `json:"hedges,omitempty"`
-	AttestFail  uint64       `json:"attest_failures,omitempty"`
-	Remainders  uint64       `json:"remainder_trips,omitempty"`
-	PageTouches uint64       `json:"page_touches,omitempty"`
-	LocalHits   uint64       `json:"local_hits,omitempty"`
-	TraceID     string       `json:"trace_id,omitempty"`
-	Trace       []trace.Span `json:"trace,omitempty"`
+	Algo  string `json:"algo"`
+	V     int    `json:"v"`
+	Label int    `json:"label"`
+	answerStats
+	answerTrace
 }
 
 func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
@@ -908,10 +914,7 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		}
 		st := statsOf(inst)
 		s.met.observeExec(st)
-		ans := labelAnswer{Algo: d.Name, V: v, Label: label,
-			Probes: st.Total(), RoundTrips: st.RoundTrips, Failovers: st.Failovers, Hedges: st.Hedges,
-			AttestFail: st.AttestFailures, Remainders: st.RemainderTrips,
-			PageTouches: st.PageTouches, LocalHits: st.LocalHits}
+		ans := labelAnswer{Algo: d.Name, V: v, Label: label, answerStats: statsBlock(st)}
 		s.recordAudit("label", d, ns, p, map[string]int{"v": v}, rec, map[string]any{"label": label})
 		ans.TraceID, ans.Trace = s.finishTrace(qt, st, nil)
 		return ans, nil
@@ -926,13 +929,12 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 }
 
 type estimateAnswer struct {
-	Algo       string       `json:"algo"`
-	Kind       string       `json:"kind"`
-	Fraction   float64      `json:"fraction"`
-	ErrorBound float64      `json:"error_bound"`
-	Samples    int          `json:"samples"`
-	TraceID    string       `json:"trace_id,omitempty"`
-	Trace      []trace.Span `json:"trace,omitempty"`
+	Algo       string  `json:"algo"`
+	Kind       string  `json:"kind"`
+	Fraction   float64 `json:"fraction"`
+	ErrorBound float64 `json:"error_bound"`
+	Samples    int     `json:"samples"`
+	answerTrace
 }
 
 // handleEstimate estimates the solution fraction of any edge- or

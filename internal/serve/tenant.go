@@ -139,11 +139,12 @@ func (t *tenantState) budgetWrapTraced(o oracle.Oracle, tr *trace.Tracer) oracle
 		o = lo
 	}
 	if t.RoundTripBudget > 0 {
-		lt := oracle.NewLimitTrips(o, t.RoundTripBudget)
-		if ts, ok := lt.(source.TracerSetter); ok {
-			ts.SetTracer(tr)
+		// A chain without a round-trip counter (a local source) comes back
+		// unchanged and keeps the tracers it has.
+		if lt := oracle.NewLimitTrips(o, t.RoundTripBudget); lt != o {
+			lt.(source.TracerSetter).SetTracer(tr)
+			o = lt
 		}
-		o = lt
 	}
 	return o
 }

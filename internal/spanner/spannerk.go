@@ -600,11 +600,19 @@ func (s *SpannerK) ruleTwoThree(u, v int, a, b *clusterInfo, scanA, scanB map[in
 		return false
 	}
 	rankB := s.rankOf(b.cell)
-	for cell, be := range scanB {
-		if !s.cellMarked(cell) {
-			continue
+	// The loop probes (clusterOf, scanCluster) and returns at the first
+	// qualifying cell, so it visits the marked cells in ascending order:
+	// in map order the probe count would vary from run to run.
+	var marked []int
+	for cell := range scanB {
+		if s.cellMarked(cell) {
+			marked = append(marked, cell)
 		}
+	}
+	sort.Ints(marked)
+	for _, cell := range marked {
 		// C is the marked cluster B participates with in Vor(cell).
+		be := scanB[cell]
 		c := s.clusterOf(be.Outside, s.status(be.Outside))
 		scanC := s.scanCluster(c)
 		// Rank of c(B) among the q lowest in c(∂A) ∩ c(∂C).

@@ -441,3 +441,32 @@ func TestSpannerKSizeMonotoneInQ(t *testing.T) {
 		prev = h.M()
 	}
 }
+
+// TestSpannerKProbeCountsDeterministic: a query's probe count is a
+// function of (graph, seed, query) alone. Fresh instances answering the
+// same edge must spend the same probes, not just give the same answer;
+// a rule that probes while ranging over a map and stops at its first
+// hit would make the count follow Go's randomized map order.
+func TestSpannerKProbeCountsDeterministic(t *testing.T) {
+	const n, queries, reps = 20000, 400, 5
+	g := gen.Gnp(n, 8/float64(n-1), 3)
+	edges := g.Edges()
+	for q := 0; q < queries; q++ {
+		e := edges[(q*7919)%len(edges)]
+		var want uint64
+		var wantIn bool
+		for r := 0; r < reps; r++ {
+			s := NewSpannerK(oracle.New(g), 3, 7)
+			in := s.QueryEdge(e.U, e.V)
+			got := s.ProbeStats().Total()
+			if r == 0 {
+				want, wantIn = got, in
+				continue
+			}
+			if got != want || in != wantIn {
+				t.Fatalf("edge (%d,%d): instance %d answered %v in %d probes, instance 0 %v in %d",
+					e.U, e.V, r, in, got, wantIn, want)
+			}
+		}
+	}
+}

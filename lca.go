@@ -35,7 +35,11 @@ type (
 	// in-memory *Graph, an implicit deterministic generator, or a cold
 	// disk-backed CSR file (see OpenSource and NewSessionFromSource).
 	Source = source.Source
-	// ProbeCounter wraps an Oracle with probe accounting.
+	// ProbeCounter wraps an Oracle with probe accounting. Its Stats add
+	// the transport the chain consumed (round trips, failovers, page
+	// locality, ...), read from the counters found by walking the chain's
+	// Unwrap methods once at construction; the counter itself forwards
+	// none of them.
 	ProbeCounter = oracle.Counter
 	// ProbeStats is a snapshot of probe counts by probe type.
 	ProbeStats = oracle.Stats
